@@ -27,14 +27,14 @@
 //	               totals land in the JSON "faults" section. Scenario
 //	               self-checks may legitimately fail under chaos — the
 //	               fingerprints stay deterministic per seed regardless
-//	-vmlevels      benchmark 1024B frame forwarding at every switchlet
-//	               execution tier (-O0 naive, -O1 quickened, -O2
-//	               translated); fails if the virtual frame rates differ
-//	               at any level. With -json, adds a "vm_levels" section
-//	-vm-baseline F gate the optimizing tiers against F's
+//	-vmlevels      benchmark 1024B frame forwarding at both switchlet
+//	               execution tiers (-O0 naive, -O1 quickened); fails if
+//	               the virtual frame rates differ. With -json, adds a
+//	               "vm_levels" section
+//	-vm-baseline F gate the optimizing tier against F's
 //	               frame_rates_1024B entry: identical virtual rate, no
-//	               alloc regression, and each tier no slower than the
-//	               one below it on this machine
+//	               alloc regression, and -O1 no slower than -O0 on this
+//	               machine
 //	-trace F       enable the causal tracing plane for every scenario and
 //	               write one Chrome trace-event JSON (open in Perfetto or
 //	               chrome://tracing) covering every traced net to F
@@ -194,10 +194,9 @@ func headlines(cost netsim.CostModel) []benchResult {
 }
 
 // vmLevels measures the most VM-bound headline — 1024-byte frame
-// forwarding through the learning switchlet — at every execution tier
-// (-O0 naive, -O1 quickened interpreter, -O2 translated closures),
-// verifying along the way that the virtual frame rate is bit-identical
-// at all levels.
+// forwarding through the learning switchlet — at both execution tiers
+// (-O0 naive, -O1 quickened interpreter), verifying along the way that
+// the virtual frame rate is bit-identical at both levels.
 //
 // The tiers are compared against each other on this machine, so the
 // measurement must not bake in a systematic order bias: benchmarking
@@ -215,7 +214,7 @@ func vmLevels(cost netsim.CostModel) ([]vmLevelResult, error) {
 		vmRounds = 5  // interleaved rounds; each level keeps its best
 		vmIters  = 40 // ops per level per round (~3ms each)
 	)
-	levels := []int{0, 1, 2}
+	levels := []int{0, 1}
 	out := make([]vmLevelResult, len(levels))
 	for i, lvl := range levels {
 		out[i] = vmLevelResult{OptLevel: lvl, WallNsPerOp: math.MaxFloat64}
@@ -271,15 +270,15 @@ func vmLevels(cost netsim.CostModel) ([]vmLevelResult, error) {
 	return out, nil
 }
 
-// compareVMBaseline gates the optimizing tiers against a committed BENCH
+// compareVMBaseline gates the optimizing tier against a committed BENCH
 // json's frame_rates_1024B entry:
 //   - the virtual frame rate at every level must match the baseline
 //     exactly (it is deterministic, so any difference is a semantics
 //     change);
 //   - the top tier must not allocate more per op than the baseline did;
-//   - each tier must not be slower than the one below it, measured in
-//     this same run (the cross-machine wall clock is advisory, the
-//     same-machine ratio is the regression gate: -O2 ≤ -O1 ≤ -O0).
+//   - -O1 must not be slower than -O0, measured in this same run (the
+//     cross-machine wall clock is advisory, the same-machine ratio is
+//     the regression gate: -O1 ≤ -O0).
 func compareVMBaseline(path string, levels []vmLevelResult) bool {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -344,8 +343,8 @@ func main() {
 	metricsOut := flag.String("metrics-out", "", "write the schema-v3 bench report with the final metrics snapshot to this file")
 	metricsLinger := flag.Duration("metrics-linger", 0, "keep serving -metrics-addr this long after the run")
 	faultsSeed := flag.Uint64("faults", 0, "apply the seeded blanket chaos profile to every scenario (0 = off)")
-	vmLvls := flag.Bool("vmlevels", false, "benchmark frame forwarding at -O0/-O1/-O2 and include a vm_levels section (-json)")
-	vmBaseline := flag.String("vm-baseline", "", "BENCH json whose frame_rates_1024B entry gates the optimizing tiers (implies -vmlevels)")
+	vmLvls := flag.Bool("vmlevels", false, "benchmark frame forwarding at -O0/-O1 and include a vm_levels section (-json)")
+	vmBaseline := flag.String("vm-baseline", "", "BENCH json whose frame_rates_1024B entry gates the optimizing tier (implies -vmlevels)")
 	traceOut := flag.String("trace", "", "enable the causal tracing plane and write a Chrome trace-event JSON (Perfetto/chrome://tracing) to this file")
 	traceSample := flag.Float64("trace-sample", 1.0, "head-based sampling probability for -trace (0..1, deterministic per trace ID)")
 	traceSeed := flag.Uint64("trace-seed", 1, "seed for -trace trace-ID minting and sampling")

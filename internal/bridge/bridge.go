@@ -197,21 +197,18 @@ func IdentityMAC(id byte) ethernet.MAC {
 	return ethernet.MAC{0x02, 0xbb, 0x00, 0x00, id, 0x00}
 }
 
-// New creates a bridge with the given number of ports. MACs are derived
-// from the id byte (IdentityMAC) and ports share the identity address
-// (transparent bridges do not source data frames).
-// DefaultOptLevel is the switchlet optimization level new bridges adopt
-// (0 naive bytecode, 1 quickened, 2 translated-to-Go-closures). Virtual
-// time is identical at every level; the knob exists so benchmarks and
-// differential tests can measure the tiers against each other. Set it
-// before constructing bridges — it is read once per New and not
-// synchronized.
-var DefaultOptLevel = 2
+// DefaultOptLevel is the switchlet optimization level new bridges adopt:
+// 0 runs the naive wire bytecode, any positive level the quickened
+// interpreter (vm.Loader.OptLevel). Virtual time is identical at both
+// levels; the knob exists so benchmarks and differential tests can
+// measure the tiers against each other. Set it before constructing
+// bridges — it is read once per New and not synchronized.
+var DefaultOptLevel = 1
 
 // DisableFlowCache turns off the per-destination demux cache on every
 // bridge (a differential-testing knob: cached and uncached runs must be
-// byte-identical). Like DefaultOptLevel it is read per frame and not
-// synchronized; toggle it only between runs.
+// byte-identical). Unlike DefaultOptLevel it is read per frame; it is not
+// synchronized, so toggle it only between runs.
 var DisableFlowCache = false
 
 // flowCacheLen is the direct-mapped flow cache size (power of two). Small
@@ -239,6 +236,9 @@ func flowIdx(dst ethernet.MAC) uint64 {
 // epochs, mirroring the VM-side cache flushes.
 func (b *Bridge) FlushFlowCache() { b.flowGen++ }
 
+// New creates a bridge with the given number of ports. MACs are derived
+// from the id byte (IdentityMAC) and ports share the identity address
+// (transparent bridges do not source data frames).
 func New(sim *netsim.Sim, name string, id byte, numPorts int, cost netsim.CostModel) *Bridge {
 	b := &Bridge{
 		Name:        name,
@@ -737,7 +737,7 @@ func (b *Bridge) onFrame(inPort int, raw []byte) {
 	var trapped bool
 	traced := b.sim.TraceEngine() != nil
 	var steps0, alloc0 uint64
-	var tiers0 [3]uint64
+	var tiers0 [2]uint64
 	if traced {
 		steps0, alloc0 = b.Machine.Steps, b.Machine.AllocBytes
 		tiers0 = b.Machine.TierEnters
@@ -768,9 +768,9 @@ func (b *Bridge) onFrame(inPort int, raw []byte) {
 		} else {
 			m := b.Machine
 			b.traceEvent(tracing.KindVM, int64(execCost), fmt.Sprintf(
-				"handler=%s steps=%d alloc=%d tiers=%d/%d/%d", h.Name,
+				"handler=%s steps=%d alloc=%d tiers=%d/%d", h.Name,
 				m.Steps-steps0, m.AllocBytes-alloc0,
-				m.TierEnters[0]-tiers0[0], m.TierEnters[1]-tiers0[1], m.TierEnters[2]-tiers0[2]))
+				m.TierEnters[0]-tiers0[0], m.TierEnters[1]-tiers0[1]))
 		}
 		if trapped {
 			b.traceEvent(tracing.KindVerdict, 0, "trap-drop")

@@ -36,7 +36,7 @@ func (b *Bridge) Instrument(reg *metrics.Registry, ls metrics.Labels) {
 	for t := 0; t < len(b.Machine.TierEnters); t++ {
 		t := t
 		reg.SampleCounter("ab_bridge_vm_tier_enters_total",
-			"switchlet frame entries per execution tier (0 naive, 1 quickened, 2 translated)",
+			"switchlet frame entries per execution tier (0 naive, 1 quickened)",
 			ls.With("tier", strconv.Itoa(t)),
 			func() float64 { return float64(b.Machine.TierEnters[t]) })
 	}

@@ -205,13 +205,7 @@ type Chunk struct {
 	Name    string // diagnostic name
 	NParams int
 	NLocals int // including params
-	// Idx is this chunk's index in Object.Chunks, set at construction by
-	// the compiler and decoder. The translated tier uses it to key
-	// per-LinkedModule closure tables without touching the shared Chunk;
-	// the loader refuses translation when the indices are inconsistent
-	// (hand-built objects may leave them zero).
-	Idx  int
-	Code []Instr
+	Code    []Instr
 	// Quick is the quickened code produced by OptimizeObject; nil means
 	// interpret Code. Never serialized.
 	Quick []Instr
@@ -563,7 +557,7 @@ func DecodeObject(b []byte) (*Object, error) {
 	}
 	nChunks := r.count(16)
 	for i := 0; i < nChunks && r.err == nil; i++ {
-		c := &Chunk{Idx: i}
+		c := &Chunk{}
 		c.Name = r.str()
 		c.NParams = int(r.u32())
 		c.NLocals = int(r.u32())

@@ -130,8 +130,7 @@ func codegen(mod *Module, export *Signature, sigs *SigEnv, info *TypeInfo) (*Obj
 	init.emit(Instr{Op: opConstUnit})
 	init.emit(Instr{Op: opReturn})
 	g.obj.Chunks = append(g.obj.Chunks, init.chunk)
-	init.chunk.Idx = len(g.obj.Chunks) - 1
-	g.obj.Init = init.chunk.Idx
+	g.obj.Init = len(g.obj.Chunks) - 1
 
 	// Export table: the last binding of each name wins (shadowing).
 	for name, slot := range g.globals { //ab:mapiter-ok map-to-map copy; order cannot escape
@@ -609,7 +608,6 @@ func (f *fnCG) closure(fun *Fun, selfName string) error {
 	child.emit(Instr{Op: opReturn})
 	f.cg.obj.Chunks = append(f.cg.obj.Chunks, child.chunk)
 	chunkIdx := len(f.cg.obj.Chunks) - 1
-	child.chunk.Idx = chunkIdx
 	specIdx := len(f.cg.obj.CapSpecs)
 	f.cg.obj.CapSpecs = append(f.cg.obj.CapSpecs, child.caps)
 	f.emit(Instr{Op: opClosure, A: int64(chunkIdx), B: int32(specIdx)})

@@ -28,13 +28,11 @@ type Loader struct {
 	LoadErrors uint64
 
 	// OptLevel controls quickening of loaded objects: 0 links the naive
-	// bytecode as-is, 1 (the default) runs OptimizeObject in hostile mode —
-	// decoded objects carry no typing proof, so they get only the rewrites
-	// whose fast paths re-check tags at run time. 2 additionally enables
-	// the translated tier: hot chunks of statically verified objects are
-	// lowered into cached Go closures with guard-based deopt back to the
-	// interpreter (see translate.go). At every level the observable
-	// semantics, Steps and AllocBytes are identical.
+	// bytecode as-is; any positive level (1 is the default) runs
+	// OptimizeObject in hostile mode — decoded objects carry no typing
+	// proof, so they get only the rewrites whose fast paths re-check tags
+	// at run time. At every level the observable semantics, Steps and
+	// AllocBytes are identical.
 	OptLevel int
 }
 
@@ -187,13 +185,6 @@ func (l *Loader) loadObject(obj *Object) (*LinkedModule, error) {
 	}
 	if obj.NICSites > 0 {
 		lm.ics = make([]icache, obj.NICSites)
-	}
-	// Translated tier (-O2): only for objects the static verifier accepted
-	// — unverified code never earns compiled closures — and only when the
-	// chunk index table is consistent (hand-built objects may not set it).
-	if l.OptLevel >= 2 && obj.Verified() && chunkIdxConsistent(obj) {
-		lm.trans = make([]*chunkTrans, len(obj.Chunks))
-		lm.transHot = make([]uint16, len(obj.Chunks))
 	}
 
 	// Evaluate the top-level forms (the registration calls).

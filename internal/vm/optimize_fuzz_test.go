@@ -1,9 +1,8 @@
-// Differential fuzzing of the optimizing tiers: any program the compiler
+// Differential fuzzing of the optimizing tier: any program the compiler
 // accepts must behave bit-identically — results, traps, metered Steps and
 // AllocBytes — whether it runs as naive bytecode (-O0), hostile-quickened
-// wire code (the network loader's view of -O1), the translated tier over
-// hostile wire code (-O2), or the trusted quickened form the in-process
-// compiler hands the loader, also translated. This file lives in the
+// wire code (the network loader's view of -O1), or the trusted quickened
+// form the in-process compiler hands the loader. This file lives in the
 // external test package so it can seed the corpus with the bundled
 // switchlet sources, which compile against a full bridge environment.
 package vm_test
@@ -67,18 +66,16 @@ func renderValue(v vm.Value) string {
 // everything observable: load outcome, then each exported function invoked
 // with canned arguments under generous and then starvation-level fuel.
 //
-// Levels: 0 = -O0 naive bytecode; 1 = -O1 hostile-quickened wire code;
-// 2 = -O2 over hostile wire code, eagerly translated; 3 = -O2 over the
-// trusted pre-quickened object, eagerly translated. The eager Translate
-// bypasses the hotness threshold so the translated dispatch loop — guards,
-// deopts, fuel starvation — is exercised from the first instruction.
-func runLevel(t *testing.T, src string, level int) string {
+// Paths: 0 = -O0 naive bytecode; 1 = -O1 hostile-quickened wire code;
+// 2 = -O1 over the trusted pre-quickened object, loaded through
+// LoadObject — the only path that runs untagged int registers.
+func runLevel(t *testing.T, src string, path int) string {
 	t.Helper()
 	node := bridge.New(netsim.New(), "fuzz", 1, 2, netsim.DefaultCostModel())
 	m := node.Machine
 	l := node.Loader
 	compileLevel := 0
-	if level == 3 {
+	if path == 2 {
 		compileLevel = 1
 	}
 	obj, _, err := vm.CompileLevel("Fz", src, l.SigEnv(), compileLevel)
@@ -88,7 +85,7 @@ func runLevel(t *testing.T, src string, level int) string {
 	var sb strings.Builder
 	var lm *vm.LinkedModule
 	steps0, alloc0 := m.Steps, m.AllocBytes
-	switch level {
+	switch path {
 	case 0:
 		l.OptLevel = 0
 		lm, err = l.Load(obj.Encode())
@@ -96,10 +93,7 @@ func runLevel(t *testing.T, src string, level int) string {
 		l.OptLevel = 1
 		lm, err = l.Load(obj.Encode())
 	case 2:
-		l.OptLevel = 2
-		lm, err = l.Load(obj.Encode())
-	case 3:
-		l.OptLevel = 2
+		l.OptLevel = 1
 		lm, err = l.LoadObject(obj)
 	}
 	fmt.Fprintf(&sb, "load: steps=%d alloc=%d", m.Steps-steps0, m.AllocBytes-alloc0)
@@ -108,11 +102,6 @@ func runLevel(t *testing.T, src string, level int) string {
 		return sb.String()
 	}
 	sb.WriteString("\n")
-	if level >= 2 {
-		// No-op when the loader refused the tier (unverified object);
-		// the differential still holds, just without translated dispatch.
-		lm.Translate()
-	}
 
 	names := lm.Export.Names()
 	sort.Strings(names)
@@ -154,8 +143,8 @@ func runLevel(t *testing.T, src string, level int) string {
 // FuzzOptimizedMatchesBaseline is the optimizer's differential oracle. It
 // is seeded with the bundled switchlet corpus — the exact programs the
 // bridge ships — plus targeted programs covering every superinstruction,
-// and requires all four execution paths (-O0, -O1, -O2 hostile, -O2
-// trusted) to produce identical transcripts.
+// and requires all three execution paths (-O0, -O1 hostile, -O1 trusted)
+// to produce identical transcripts.
 func FuzzOptimizedMatchesBaseline(f *testing.F) {
 	for _, seed := range []string{
 		switchlets.DumbSrc,
@@ -186,9 +175,9 @@ let f () = (y, x)`,
 			t.Skip("oversized input")
 		}
 		base := runLevel(t, src, 0)
-		for _, level := range []int{1, 2, 3} {
-			if got := runLevel(t, src, level); got != base {
-				t.Errorf("level %d diverges from -O0\n--- -O0:\n%s\n--- level %d:\n%s", level, base, level, got)
+		for _, path := range []int{1, 2} {
+			if got := runLevel(t, src, path); got != base {
+				t.Errorf("path %d diverges from -O0\n--- -O0:\n%s\n--- path %d:\n%s", path, base, path, got)
 			}
 		}
 	})
