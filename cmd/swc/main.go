@@ -9,7 +9,7 @@
 //	swc -d file.swo                 disassemble an object file
 //	swc -d -O1 file.swo             ... including the quickened form
 //	swc -d -O1 file.swl             compile in-process and disassemble the
-//	                                trusted quickened form (untagged loops)
+//	                                quickened form
 //	swc -sig file.swl               print the inferred export signature
 //	swc -env                        list the available module signatures
 //	swc -verify file.swl|file.swo   run the load-time static verifier
@@ -17,9 +17,9 @@
 //
 // -verify replays exactly the proof a node performs before linking: the
 // wire bytecode is decoded and checked (control-flow integrity, stack
-// discipline, typed optimizer metadata, capture bounds), and at -O1 the
-// object is additionally quickened under the loader's hostile rule set and
-// the quickened stream — superinstruction operands, deopt source map, step
+// discipline, type soundness, capture bounds), and at -O1 the object is
+// additionally quickened as the loader would quicken it and the quickened
+// stream — superinstruction operands, deopt source map, step
 // weights — is proven too. Exit status 1 with the typed diagnostic on any
 // rejection.
 //
@@ -55,7 +55,7 @@ func main() {
 		builtin = flag.String("builtin", "", "emit a bundled switchlet: dumb|learning|spanning|dec|control|spanbug")
 		ports   = flag.Int("ports", 4, "number of ports of the target node (affects nothing statically; reserved)")
 		o0      = flag.Bool("O0", false, "compile/disassemble the naive bytecode only")
-		o1      = flag.Bool("O1", false, "quicken: superinstructions, inline caches, untagged loops (default; wire bytes are identical)")
+		o1      = flag.Bool("O1", false, "quicken: superinstructions, inlined natives, String.sub result cache (default; wire bytes are identical)")
 		verifyF = flag.Bool("verify", false, "run the load-time static verifier on a source, object file or builtin")
 	)
 	flag.Parse()
@@ -148,8 +148,8 @@ func main() {
 		arg := flag.Arg(0)
 		var obj *vm.Object
 		if strings.EqualFold(filepath.Ext(arg), ".swl") {
-			// Compile in-process: the trusted path, so -O1 shows the full
-			// quickened form including type-directed untagged loops.
+			// Compile in-process; -O1 quickens exactly as the loader
+			// would quicken the decoded object.
 			src, err := os.ReadFile(arg)
 			if err != nil {
 				fatal("%v", err)
@@ -175,9 +175,7 @@ func main() {
 			if err := obj.Verify(); err != nil {
 				fmt.Fprintf(os.Stderr, "warning: %v\n", err)
 			} else if optLevel > 0 {
-				// Decoded objects are untrusted: quicken in hostile mode,
-				// exactly as the loader would.
-				vm.OptimizeObject(obj, false)
+				vm.OptimizeObject(obj)
 			}
 		}
 		fmt.Print(vm.Disassemble(obj))
@@ -231,8 +229,8 @@ func builtinSource(key string) (name, src string, ok bool) {
 }
 
 // verifyWire replays the load-time proof on the wire bytes: decode, verify
-// the wire stream, and at -O1 quicken a second fresh decode under the
-// loader's hostile rule set and verify the quickened stream as well.
+// the wire stream, and at -O1 quicken a second fresh decode as the loader
+// would and verify the quickened stream as well.
 func verifyWire(target string, enc []byte, optLevel int) {
 	fresh, err := vm.DecodeObject(enc)
 	if err != nil {
@@ -247,7 +245,7 @@ func verifyWire(target string, enc []byte, optLevel int) {
 		if err != nil {
 			fatal("decode %s: %v", target, err)
 		}
-		vm.OptimizeObject(q, false)
+		vm.OptimizeObject(q)
 		if rep, err = verify.Object(q); err != nil {
 			fatal("verify %s (quickened): %v", target, err)
 		}

@@ -1048,7 +1048,7 @@ func (b *Bridge) LoadObjectBytes(data []byte) error {
 }
 
 // LoadDecodedObject links an already decoded switchlet object — typically
-// the process-wide cache's shared, trusted-mode-quickened form — charging
+// the process-wide cache's shared, already-quickened form — charging
 // the same evaluation cost as LoadObjectBytes without re-decoding.
 func (b *Bridge) LoadDecodedObject(obj *vm.Object) error {
 	steps0, alloc0 := b.Machine.Steps, b.Machine.AllocBytes

@@ -92,8 +92,8 @@ func (m *Manager) Bridge() *Bridge { return m.b }
 // object without touching the node's namespace. The returned name is the
 // module name — sw.Name, or the object's own module name when the
 // manifest left Name empty. obj is the decoded form ready for linking:
-// for source installs it is the process-wide cached object carrying the
-// compiler's trusted-mode quickening, shared across bridges.
+// for source installs it is the process-wide cached object, verified and
+// quickened once by the compiler and shared across bridges.
 //
 // Every path runs the full static proof (verify.Manifest) before any VM
 // state for the module exists: precompiled objects are rejected with a
@@ -122,10 +122,7 @@ func (m *Manager) compile(sw env.Manifest) (enc []byte, name string, obj *vm.Obj
 		if err != nil {
 			return nil, "", nil, nil, err
 		}
-		name, enc = ent.name, ent.enc
-		if obj, err = ent.decoded(); err != nil {
-			return nil, "", nil, nil, fmt.Errorf("switchlet %s: %w", name, err)
-		}
+		name, enc, obj = ent.name, ent.enc, ent.obj
 	}
 	rep, err = verify.Manifest(obj, name, sw.Capabilities)
 	if err != nil {
@@ -158,9 +155,8 @@ func (m *Manager) Install(sw env.Manifest) (*Installed, error) {
 	if err := m.b.LoadDecodedObject(obj); err != nil {
 		return nil, err
 	}
-	// The loaded-module set changed: inline caches and cached demux
-	// decisions must not carry values across the epoch.
-	m.b.Loader.FlushAllICs()
+	// The loaded-module set changed: cached demux decisions must not carry
+	// across the epoch.
 	m.b.FlushFlowCache()
 	sw.Name = name
 	inst := &Installed{Manifest: sw, At: m.b.sim.Now(), Warnings: rep.Warnings()}
@@ -244,7 +240,6 @@ func (m *Manager) Uninstall(name string) error {
 		}
 	}
 	m.b.Loader.Unload(name)
-	m.b.Loader.FlushAllICs()
 	m.b.FlushFlowCache()
 	delete(m.installed, name)
 	for i, n := range m.order {
@@ -491,7 +486,6 @@ func (u *Upgrade) rollback(reason string) {
 	u.state = UpgradeRolledBack
 	u.Reason = reason
 	u.m.lifecycle.Rollbacks++
-	u.m.b.Loader.FlushAllICs()
 	u.m.b.FlushFlowCache()
 	u.m.b.Log("manager: ROLLBACK (" + reason + ")")
 	if te := u.m.b.sim.TraceEngine(); te != nil {

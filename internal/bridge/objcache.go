@@ -29,43 +29,23 @@ type objectCacheKey struct {
 	srcSum  [32]byte
 	env     string
 	// optLevel separates entries per compiler tier: a level-1 entry's obj
-	// is trusted-quickened, a level-0 entry's is naive bytecode, and the
-	// two must never be shared — a bridge running -O0 linking a quickened
-	// object would silently reintroduce the optimizer it asked to disable.
+	// is quickened, a level-0 entry's is naive bytecode, and the two must
+	// never be shared — a bridge running -O0 linking a quickened object
+	// would silently reintroduce the optimizer it asked to disable.
 	optLevel int
-	// verified separates entries produced under the static-verification
-	// regime: an entry whose shared obj earned its verified bit must never
-	// be answered to (or overwritten by) a caller that skipped the proof,
-	// and vice versa — the trusted-mode quickening rides on that bit.
-	verified bool
 }
 
 type objectCacheEntry struct {
 	name    string
 	enc     []byte
 	imports []string
-	// obj is the compiler's decoded form, already quickened in trusted
-	// mode (type-proven untagged fast paths included). Installing links
-	// this shared object directly, skipping the encode/decode round trip
-	// that would discard the typing proof. Object and its chunks are
-	// immutable after optimization; per-bridge state (globals, inline
-	// caches) lives in each LinkedModule.
+	// obj is the compiler's object, verified (CompileLevel refuses to
+	// return anything else) and, at level 1, already quickened. Installing
+	// links this shared object directly, skipping the encode/decode round
+	// trip and a second verification. Object and its chunks are immutable
+	// after optimization; per-bridge state (globals, inline caches) lives
+	// in each LinkedModule.
 	obj *vm.Object
-	// verified records that vm.VerifyObject accepted obj before it was
-	// cached; decoded() refuses to share the trusted form without it.
-	verified bool
-}
-
-// decoded returns the shared, verifier-passed object, or — if the entry
-// somehow holds an unverified one — a fresh decode of the wire bytes, which
-// the loader will re-verify and quicken under the hostile rule set. Only
-// verifier-passed objects may carry trusted-mode optimization between
-// bridges.
-func (e *objectCacheEntry) decoded() (*vm.Object, error) {
-	if e.verified && e.obj != nil && e.obj.Verified() {
-		return e.obj, nil
-	}
-	return vm.DecodeObject(e.enc)
 }
 
 var (
@@ -92,7 +72,7 @@ func CompileCacheStats() (hits, misses uint64) {
 // The returned entry is shared: callers must treat enc and imports as
 // immutable.
 func compileCached(name, source, version string, se *vm.SigEnv, optLevel int) (*objectCacheEntry, error) {
-	key := objectCacheKey{name: name, version: version, srcSum: sha256.Sum256([]byte(source)), env: envFingerprint(se), optLevel: optLevel, verified: true}
+	key := objectCacheKey{name: name, version: version, srcSum: sha256.Sum256([]byte(source)), env: envFingerprint(se), optLevel: optLevel}
 	if v, ok := objectCache.Load(key); ok {
 		objectHits.Add(1)
 		return v.(*objectCacheEntry), nil
@@ -105,9 +85,7 @@ func compileCached(name, source, version string, se *vm.SigEnv, optLevel int) (*
 	for _, ref := range obj.Imports {
 		imports = append(imports, ref.Module)
 	}
-	// CompileLevel ran the static verifier (it refuses to emit otherwise),
-	// so the entry records the earned bit rather than asserting it.
-	ent := &objectCacheEntry{name: name, enc: obj.Encode(), imports: imports, obj: obj, verified: obj.Verified()}
+	ent := &objectCacheEntry{name: name, enc: obj.Encode(), imports: imports, obj: obj}
 	objectMisses.Add(1)
 	actual, _ := objectCache.LoadOrStore(key, ent)
 	return actual.(*objectCacheEntry), nil

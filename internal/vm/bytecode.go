@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // Opcodes of the swl stack machine.
@@ -100,26 +99,12 @@ const (
 	qStrSub
 	// qStrGet: predicted String.get call, inlined. A is argc.
 	qStrGet
-	// qHtblFind: predicted Hashtbl.find call with a (table, version, key)
-	// inline cache. A packs argc | icIdx<<8.
+	// qHtblFind: predicted Hashtbl.find call, inlined. A is argc.
 	qHtblFind
-	// qHtblMem: predicted Hashtbl.mem call with the same cache shape.
+	// qHtblMem: predicted Hashtbl.mem call, inlined. A is argc.
 	qHtblMem
 	// qHtblAdd: predicted Hashtbl.add call, inlined. A is argc.
 	qHtblAdd
-	// qISet: store local A (tagged mirror), additionally mirroring an int
-	// value untagged into frame register B (type-directed: only emitted
-	// for slots inference proved int). A non-int value — impossible in
-	// typechecked code — just marks the register invalid.
-	qISet
-	// qIIncL: untagged loop increment. A packs slot | reg<<16; B is the
-	// delta. The tagged mirror is kept current so plain local_get in the
-	// loop body still works; deopts if the register is invalid.
-	qIIncL
-	// qIILeJf: untagged loop head: if !(int(i) <= int(hi)) jump. A is the
-	// offset; B packs slotI | slotHi<<6 | regI<<12 | regHi<<18. Touches no
-	// operand stack at all when both registers are valid.
-	qIILeJf
 	qMax
 )
 
@@ -139,7 +124,6 @@ var qNames = [...]string{
 	"q.nop", "q.const", "q.const2", "q.get_get", "q.cmp_jf", "q.gg_cmp_jf",
 	"q.inc_local", "q.get_field_set",
 	"q.str_sub", "q.str_get", "q.htbl_find", "q.htbl_mem", "q.htbl_add",
-	"q.iset", "q.i_inc", "q.ii_le_jf",
 }
 
 // opName renders any opcode, wire or quickened, width-safely.
@@ -213,26 +197,6 @@ type Chunk struct {
 	// it covers, so a frame can deoptimize mid-flight to the exact naive
 	// position.
 	quickSrc []int32
-	// IntSlots marks locals the type checker proved to be ints
-	// (inference-typed lets and for-loop counters). Only the in-process
-	// compiler fills it; decoded objects carry no type evidence and so
-	// never get untagged registers.
-	IntSlots []bool
-	// NInts is the number of untagged int frame registers this chunk uses
-	// (at most maxIntRegs).
-	NInts int
-	// forLoops records the exact instruction positions of for-loop
-	// headers/increments emitted by codegen, the optimizer's license to
-	// use untagged loop ops.
-	forLoops []forLoop
-}
-
-// forLoop records where codegen placed the pieces of one `for` loop.
-type forLoop struct {
-	ISlot, HiSlot int
-	SetI, SetHi   int // pc of the initial opLocalSet i / hi
-	Head          int // pc of the 4-instruction loop head (get,get,le,jf)
-	Inc           int // pc of the 4-instruction increment (get,const,add,set)
 }
 
 // ImportRef records a dependency on another module: the names used and the
@@ -272,25 +236,14 @@ type Object struct {
 	// optOnce makes OptimizeObject idempotent and safe on objects shared
 	// between bridges (the process-wide compiled-object cache).
 	optOnce sync.Once
-	// quickened records that OptimizeObject ran; OptTrusted whether it ran
-	// with trusted-source rules (in-process compile) or hostile-input
-	// rules (decoded from bytes).
-	quickened  bool
-	OptTrusted bool
 
 	// verifyOnce caches the static verification verdict (see static.go):
 	// objects are immutable once shared between bridges, so one proof
-	// serves every install. verified is the earned trust bit the
-	// optimizer's trusted rule set requires; atomic because shared objects
-	// are installed from concurrent shard goroutines.
+	// serves every install.
 	verifyOnce sync.Once
 	verifyInfo *VerifyInfo
 	verifyErr  error
-	verified   atomic.Bool
 }
-
-// Verified reports whether VerifyObject has accepted this object.
-func (o *Object) Verified() bool { return o.verified.Load() }
 
 // SigDigest computes the MD5 digest of a signature's canonical text,
 // cached on the signature (signatures are immutable once in use).

@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// disasmSrc exercises every disassembler-relevant shape: a for loop (so
-// trusted compilation emits untagged-register superinstructions), string
-// and hashtable natives (predicted call sites with inline caches), tuples,
-// and enough constants to trigger folding.
+// disasmSrc exercises every disassembler-relevant shape: a for loop (whose
+// head and step fuse into q.gg_cmp_jf and q.inc_local), string and
+// hashtable natives (predicted call sites), tuples, and enough constants to
+// trigger folding.
 const disasmSrc = `
 let tbl = Hashtbl.create 16
 
@@ -40,8 +40,8 @@ func TestDisassembleQuickenedTrusted(t *testing.T) {
 	for _, want := range []string{
 		"module Scan",
 		"quickened (",
-		"untagged int regs",
-		"q.ii_le_jf", // untagged loop head, trusted mode only
+		"q.gg_cmp_jf", // for-loop head
+		"q.inc_local", // for-loop step
 		"q.str_get",
 		"q.htbl_find",
 		"; wire ", // every quickened line maps back to a wire pc
@@ -60,8 +60,7 @@ func TestDisassembleNaiveHasNoQuickened(t *testing.T) {
 }
 
 // TestDisassembleRoundTrip pushes the object through the wire format the
-// way swc -d does — encode, decode, hostile-mode quicken, disassemble —
-// and then replays the decode on every truncation of the byte stream.
+// way swc -d does — encode, decode, quicken, disassemble — and then replays the decode on every truncation of the byte stream.
 // Truncated objects must be rejected by DecodeObject or survive
 // Disassemble; nothing may panic.
 func TestDisassembleRoundTrip(t *testing.T) {
@@ -75,14 +74,14 @@ func TestDisassembleRoundTrip(t *testing.T) {
 	if err := dec.Verify(); err != nil {
 		t.Fatalf("verify: %v", err)
 	}
-	OptimizeObject(dec, false)
+	OptimizeObject(dec)
 	out := Disassemble(dec)
 	if !strings.Contains(out, "module Scan") || !strings.Contains(out, "quickened (") {
 		t.Fatalf("round-tripped disassembly malformed:\n%s", out)
 	}
-	// Hostile mode must not claim type evidence it does not have.
-	if strings.Contains(out, "untagged int regs") || strings.Contains(out, "q.ii_le_jf") {
-		t.Errorf("hostile-mode quickening used untagged registers:\n%s", out)
+	// One rule set: the decoded object quickens exactly as the compiler's.
+	if want := Disassemble(obj); out != want {
+		t.Errorf("round-tripped disassembly differs from the compiled object's:\n%s\nwant:\n%s", out, want)
 	}
 
 	for i := 0; i <= len(enc); i++ {
@@ -96,7 +95,7 @@ func TestDisassembleRoundTrip(t *testing.T) {
 			t.Logf("prefix of %d/%d bytes decoded without error", i, len(enc))
 		}
 		if err := tr.Verify(); err == nil {
-			OptimizeObject(tr, false)
+			OptimizeObject(tr)
 		}
 		_ = Disassemble(tr)
 	}
@@ -114,7 +113,7 @@ func TestDisassembleHostileBytes(t *testing.T) {
 			continue
 		}
 		if err := obj.Verify(); err == nil {
-			OptimizeObject(obj, false)
+			OptimizeObject(obj)
 		}
 		_ = Disassemble(obj)
 	}

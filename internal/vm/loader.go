@@ -29,10 +29,8 @@ type Loader struct {
 
 	// OptLevel controls quickening of loaded objects: 0 links the naive
 	// bytecode as-is; any positive level (1 is the default) runs
-	// OptimizeObject in hostile mode — decoded objects carry no typing
-	// proof, so they get only the rewrites whose fast paths re-check tags
-	// at run time. At every level the observable semantics, Steps and
-	// AllocBytes are identical.
+	// OptimizeObject after verification. At every level the observable
+	// semantics, Steps and AllocBytes are identical.
 	OptLevel int
 }
 
@@ -130,16 +128,15 @@ func (l *Loader) LoadObject(obj *Object) (*LinkedModule, error) {
 
 func (l *Loader) loadObject(obj *Object) (*LinkedModule, error) {
 	// Full static verification (static.go): control-flow integrity, stack
-	// discipline, typed optimizer metadata and capture bounds — a typed
-	// *VerifyError rejection before any VM state exists for the module.
+	// discipline, type soundness and capture bounds — a typed *VerifyError
+	// rejection before any VM state exists for the module.
 	if _, err := VerifyObject(obj); err != nil {
 		return nil, err
 	}
 	if l.OptLevel > 0 {
-		// Quicken after verification. For objects the compiler already
-		// optimized in trusted mode this is a no-op (OptimizeObject runs
-		// once per object); fresh decodes get the hostile rule set.
-		OptimizeObject(obj, false)
+		// Quicken after verification; a no-op for objects the compiler
+		// already quickened (OptimizeObject runs once per object).
+		OptimizeObject(obj)
 	}
 	if _, dup := l.modules[obj.ModName]; dup {
 		return nil, &LinkError{Module: obj.ModName, Msg: "module already loaded"}
@@ -197,15 +194,6 @@ func (l *Loader) loadObject(obj *Object) (*LinkedModule, error) {
 	l.sigs.Add(export)
 	l.order = append(l.order, obj.ModName)
 	return lm, nil
-}
-
-// FlushAllICs clears the inline caches of every loaded module. The Manager
-// calls this around Install/Upgrade/Rollback (the epoch bump): caches must
-// not carry values across a change of the loaded-module set.
-func (l *Loader) FlushAllICs() {
-	for _, lm := range l.modules { //ab:mapiter-ok independent per-module cache clears; order cannot escape
-		lm.FlushICs()
-	}
 }
 
 // Unload removes a loaded module's signature and exports from the

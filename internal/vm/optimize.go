@@ -4,11 +4,12 @@ package vm
 //
 // OptimizeObject rewrites each chunk's verified wire code into an in-memory
 // quickened form (Chunk.Quick): constants are folded, dead stores
-// eliminated, hot instruction sequences fused into superinstructions, call
-// sites whose callee is statically a well-known native are specialized into
-// inlined fast paths with per-site monomorphic inline caches, and — for
-// trusted (in-process compiled) objects only — for-loop counters that
-// inference proved to be ints run in untagged frame registers.
+// eliminated, hot instruction sequences fused into superinstructions, and
+// call sites whose callee is statically a well-known native are specialized
+// into inlined fast paths. One rule set serves every object: an object the
+// compiler just produced and the same object decoded from its wire bytes
+// quicken identically, because the rewrites read nothing but the wire code
+// and its tables.
 //
 // Invariants the rewrite must preserve exactly, because virtual time is
 // computed from them:
@@ -25,27 +26,14 @@ package vm
 //     .swo wire format (Encode/DecodeObject) carries only the naive code,
 //     so the transmitted object — and with it every deployment
 //     fingerprint — is identical at every optimization level.
-const maxIntRegs = 4
 
-// OptimizeObject quickens o's chunks in place. trusted selects the rule
-// set: in-process compiled objects (whose bytecode provably came from the
-// typechecker) additionally get untagged loop registers; decoded objects
-// get only the locally-checkable rewrites. The trusted rule set must be
-// earned: it is granted only to objects VerifyObject has accepted, so a
-// caller asserting trust over an unverified object silently gets the
-// hostile rules instead. Idempotent and safe to call on objects shared
-// between bridges.
-func OptimizeObject(o *Object, trusted bool) {
-	trusted = trusted && o.verified.Load()
+// OptimizeObject quickens o's chunks in place. Every fast path re-checks
+// the tags it relies on at run time and deoptimizes on a mismatch, so the
+// rewrite needs no evidence beyond what VerifyObject proves of the wire
+// code. Idempotent and safe to call on objects shared between bridges.
+func OptimizeObject(o *Object) {
 	o.optOnce.Do(func() {
-		o.quickened = true
-		o.OptTrusted = trusted
-		t := &optimizer{o: o, trusted: trusted}
-		for _, ref := range o.Imports {
-			for _, n := range ref.Names {
-				t.impName = append(t.impName, ref.Module+"."+n)
-			}
-		}
+		t := &optimizer{o: o, impName: o.ImportSlotNames()}
 		for _, c := range o.Chunks {
 			t.chunk(c)
 		}
@@ -54,10 +42,9 @@ func OptimizeObject(o *Object, trusted bool) {
 }
 
 type optimizer struct {
-	o       *Object
-	trusted bool
-	// impName flattens the import table to "Module.name" per slot, the
-	// key for call-site specialization.
+	o *Object
+	// impName is the "Module.name" of each import slot, the key for
+	// call-site specialization.
 	impName []string
 	// nIC counts inline-cache sites assigned across the object.
 	nIC int
@@ -77,14 +64,9 @@ func (t *optimizer) chunk(c *Chunk) {
 		src[i] = int32(i)
 	}
 
-	var plans []loopPlan
-	if t.trusted {
-		plans = t.planLoops(c, code)
-	}
 	for pass := 0; pass < 4; pass++ {
 		var fused bool
-		code, src, fused = fusePass(code, src, plans)
-		plans = nil // positions are only valid on the first (wire) stream
+		code, src, fused = fusePass(code, src)
 		if !fused {
 			break
 		}
@@ -97,8 +79,10 @@ func (t *optimizer) chunk(c *Chunk) {
 	c.quickSrc = src
 }
 
-// specialOps maps an import's full name and call arity to its quickened
-// opcode and whether the site gets an inline-cache slot.
+// specialOp maps an import's full name and call arity to its quickened
+// opcode and whether the site gets an inline-cache slot. Only String.sub
+// caches: its boxed result is keyed by string content, so an entry can
+// never go stale.
 func specialOp(name string, argc int) (op byte, needIC bool, ok bool) {
 	switch {
 	case name == "String.sub" && argc == 3:
@@ -106,9 +90,9 @@ func specialOp(name string, argc int) (op byte, needIC bool, ok bool) {
 	case name == "String.get" && argc == 2:
 		return qStrGet, false, true
 	case name == "Hashtbl.find" && argc == 2:
-		return qHtblFind, true, true
+		return qHtblFind, false, true
 	case name == "Hashtbl.mem" && argc == 2:
-		return qHtblMem, true, true
+		return qHtblMem, false, true
 	case name == "Hashtbl.add" && argc == 3:
 		return qHtblAdd, false, true
 	}
@@ -120,8 +104,7 @@ func specialOp(name string, argc int) (op byte, needIC bool, ok bool) {
 // The rewrite is position-preserving (1:1), keeps the callee on the stack,
 // and is safe for hostile objects too: the interpreter re-verifies the
 // native's tag at run time and deoptimizes to the generic call on any
-// mismatch. It is the monomorphic inline cache of the issue: the opcode is
-// the prediction, the tag check the guard.
+// mismatch: the opcode is the prediction, the tag check the guard.
 func (t *optimizer) specializeCalls(code []Instr) bool {
 	if len(t.impName) == 0 {
 		return false
@@ -226,105 +209,13 @@ func (t *optimizer) eliminateDeadStores(c *Chunk, code []Instr) bool {
 	return changed
 }
 
-// loopPlan schedules one for-loop for untagged execution: the four codegen
-// positions to quicken and the two frame registers assigned.
-type loopPlan struct {
-	setI, setHi, head, inc int
-	iSlot, hiSlot          int
-	iReg, hiReg            int
-}
-
-// planLoops selects the for-loops of a trusted chunk that can run on
-// untagged registers. A loop qualifies when its recorded positions still
-// carry the exact shapes codegen emits, no jump lands inside the fused
-// spans, and every write to the counter slots happens at a position being
-// quickened — otherwise the registers could go stale while the tagged
-// mirror moves on. All four positions convert together or not at all.
-func (t *optimizer) planLoops(c *Chunk, code []Instr) []loopPlan {
-	if len(c.forLoops) == 0 {
-		return nil
-	}
-	leaders := leadersOf(code)
-	var plans []loopPlan
-	nextReg := 0
-	for _, fl := range c.forLoops {
-		if nextReg+2 > maxIntRegs {
-			break
-		}
-		if fl.ISlot >= 64 || fl.HiSlot >= 64 {
-			continue
-		}
-		if fl.ISlot >= len(c.IntSlots) || !c.IntSlots[fl.ISlot] ||
-			fl.HiSlot >= len(c.IntSlots) || !c.IntSlots[fl.HiSlot] {
-			continue
-		}
-		if !loopShapeOK(code, leaders, fl) {
-			continue
-		}
-		plans = append(plans, loopPlan{
-			setI: fl.SetI, setHi: fl.SetHi, head: fl.Head, inc: fl.Inc,
-			iSlot: fl.ISlot, hiSlot: fl.HiSlot,
-			iReg: nextReg, hiReg: nextReg + 1,
-		})
-		nextReg += 2
-	}
-	c.NInts = nextReg
-	return plans
-}
-
-func isInstr(i Instr, op byte, a int) bool { return i.Op == op && i.A == int64(a) }
-
-func loopShapeOK(code []Instr, leaders []bool, fl forLoop) bool {
-	if fl.SetI < 0 || fl.SetHi < 0 || fl.Head < 0 || fl.Inc < 0 ||
-		fl.Head+3 >= len(code) || fl.Inc+3 >= len(code) ||
-		fl.SetI >= len(code) || fl.SetHi >= len(code) {
-		return false
-	}
-	if !isInstr(code[fl.SetI], opLocalSet, fl.ISlot) ||
-		!isInstr(code[fl.SetHi], opLocalSet, fl.HiSlot) {
-		return false
-	}
-	if !isInstr(code[fl.Head], opLocalGet, fl.ISlot) ||
-		!isInstr(code[fl.Head+1], opLocalGet, fl.HiSlot) ||
-		code[fl.Head+2].Op != opLe ||
-		code[fl.Head+3].Op != opJumpIfFalse {
-		return false
-	}
-	if !isInstr(code[fl.Inc], opLocalGet, fl.ISlot) ||
-		code[fl.Inc+1].Op != opConstInt ||
-		code[fl.Inc+2].Op != opAdd ||
-		!isInstr(code[fl.Inc+3], opLocalSet, fl.ISlot) {
-		return false
-	}
-	if k := code[fl.Inc+1].A; k < -1<<31 || k >= 1<<31 {
-		return false
-	}
-	for i := 1; i < 4; i++ {
-		if leaders[fl.Head+i] || leaders[fl.Inc+i] {
-			return false
-		}
-	}
-	for pc, ins := range code {
-		if ins.Op != opLocalSet {
-			continue
-		}
-		if int(ins.A) == fl.ISlot && pc != fl.SetI && pc != fl.Inc+3 {
-			return false
-		}
-		if int(ins.A) == fl.HiSlot && pc != fl.SetHi {
-			return false
-		}
-	}
-	return true
-}
-
 // isJumpOp reports whether op's A operand is a relative code offset.
 //
 //ab:allocfree
 func isJumpOp(op byte) bool {
 	switch op {
 	case opJump, opJumpIfFalse, opJumpIfTrue, opPushHandler,
-		qCmpJf, qGGCmpJf, qIILeJf:
+		qCmpJf, qGGCmpJf:
 		return true
 	}
 	return false
@@ -361,26 +252,9 @@ func weightOf(i Instr) int {
 
 // fusePass runs one left-to-right peephole pass over code, emitting a new
 // stream plus its source map, and remapping every relative jump offset to
-// the new coordinates. plans, when non-nil, converts the scheduled for-loop
-// positions (valid only for the first pass, whose input is the wire
-// stream). Called to fixpoint by chunk().
-func fusePass(code []Instr, src []int32, plans []loopPlan) ([]Instr, []int32, bool) {
+// the new coordinates. Called to fixpoint by chunk().
+func fusePass(code []Instr, src []int32) ([]Instr, []int32, bool) {
 	leaders := leadersOf(code)
-	// reserved guards the loop-plan spans: a generic fusion must neither
-	// start inside one nor swallow one, or the all-or-nothing register
-	// conversion would silently break.
-	var reserved []bool
-	if len(plans) > 0 {
-		reserved = make([]bool, len(code))
-		for _, p := range plans {
-			reserved[p.setI] = true
-			reserved[p.setHi] = true
-			for i := 0; i < 4; i++ {
-				reserved[p.head+i] = true
-				reserved[p.inc+i] = true
-			}
-		}
-	}
 
 	pos := make([]int32, len(code)+1)
 	out := make([]Instr, 0, len(code))
@@ -392,7 +266,7 @@ func fusePass(code []Instr, src []int32, plans []loopPlan) ([]Instr, []int32, bo
 	changed := false
 
 	for pc := 0; pc < len(code); pc++ {
-		ins, consumed := matchAt(code, pc, leaders, reserved, plans)
+		ins, consumed := matchAt(code, pc, leaders)
 		pos[pc] = int32(len(out))
 		if consumed > 1 {
 			changed = true
@@ -420,30 +294,15 @@ func fusePass(code []Instr, src []int32, plans []loopPlan) ([]Instr, []int32, bo
 
 // matchAt returns the (possibly fused) instruction starting at pc and how
 // many input instructions it consumes.
-func matchAt(code []Instr, pc int, leaders, reserved []bool, plans []loopPlan) (Instr, int) {
-	for _, p := range plans {
-		switch pc {
-		case p.setI:
-			return Instr{Op: qISet, W: 1, A: int64(p.iSlot), B: int32(p.iReg)}, 1
-		case p.setHi:
-			return Instr{Op: qISet, W: 1, A: int64(p.hiSlot), B: int32(p.hiReg)}, 1
-		case p.head:
-			return Instr{Op: qIILeJf, W: 4, A: code[pc+3].A,
-				B: int32(p.iSlot | p.hiSlot<<6 | p.iReg<<12 | p.hiReg<<18)}, 4
-		case p.inc:
-			return Instr{Op: qIIncL, W: 4, A: int64(p.iSlot) | int64(p.iReg)<<16,
-				B: int32(code[pc+1].A)}, 4
-		}
-	}
-
+func matchAt(code []Instr, pc int, leaders []bool) (Instr, int) {
 	// fits reports whether a window of n instructions starting at pc stays
-	// inside the stream without crossing a leader or a reserved loop span.
+	// inside the stream without crossing a leader.
 	fits := func(n int) bool {
 		if pc+n > len(code) {
 			return false
 		}
 		for i := 1; i < n; i++ {
-			if leaders[pc+i] || (reserved != nil && reserved[pc+i]) {
+			if leaders[pc+i] {
 				return false
 			}
 		}
@@ -475,14 +334,14 @@ func matchAt(code []Instr, pc int, leaders, reserved []bool, plans []loopPlan) (
 
 	i0 := code[pc]
 
-	// local, local, compare, branch — the loop-head / demux shape.
+	// local, local, compare, branch — the for-loop head / demux shape.
 	if fits(4) && i0.Op == opLocalGet && code[pc+1].Op == opLocalGet &&
 		isCmp(code[pc+2].Op) && code[pc+3].Op == opJumpIfFalse &&
 		i0.A < 1<<12 && code[pc+1].A < 1<<12 {
 		return Instr{Op: qGGCmpJf, W: 4, A: code[pc+3].A,
 			B: int32(i0.A) | int32(code[pc+1].A)<<12 | int32(code[pc+2].Op)<<24}, 4
 	}
-	// get s; const k; add; set s — tagged counter increment.
+	// get s; const k; add; set s — counter increment (the for-loop step).
 	if fits(4) && i0.Op == opLocalGet && code[pc+1].Op == opConstInt &&
 		code[pc+2].Op == opAdd && code[pc+3].Op == opLocalSet &&
 		code[pc+3].A == i0.A &&

@@ -1,9 +1,10 @@
 // Differential fuzzing of the optimizing tier: any program the compiler
 // accepts must behave bit-identically — results, traps, metered Steps and
-// AllocBytes — whether it runs as naive bytecode (-O0), hostile-quickened
-// wire code (the network loader's view of -O1), or the trusted quickened
-// form the in-process compiler hands the loader. This file lives in the
-// external test package so it can seed the corpus with the bundled
+// AllocBytes — whether it runs as naive bytecode (-O0) or as the quickened
+// form the loader derives from the same wire bytes (-O1). The compiler's own
+// quickened object equals the latter (TestCompiledQuickMatchesDecodedQuick),
+// so these two paths cover every way code reaches the VM. This file lives in
+// the external test package so it can seed the corpus with the bundled
 // switchlet sources, which compile against a full bridge environment.
 package vm_test
 
@@ -62,40 +63,23 @@ func renderValue(v vm.Value) string {
 	}
 }
 
-// runLevel compiles and executes src one way and returns a transcript of
+// runLevel compiles src, loads its wire bytes at the given loader opt
+// level (0 = naive bytecode, 1 = quickened) and returns a transcript of
 // everything observable: load outcome, then each exported function invoked
 // with canned arguments under generous and then starvation-level fuel.
-//
-// Paths: 0 = -O0 naive bytecode; 1 = -O1 hostile-quickened wire code;
-// 2 = -O1 over the trusted pre-quickened object, loaded through
-// LoadObject — the only path that runs untagged int registers.
-func runLevel(t *testing.T, src string, path int) string {
+func runLevel(t *testing.T, src string, optLevel int) string {
 	t.Helper()
 	node := bridge.New(netsim.New(), "fuzz", 1, 2, netsim.DefaultCostModel())
 	m := node.Machine
 	l := node.Loader
-	compileLevel := 0
-	if path == 2 {
-		compileLevel = 1
-	}
-	obj, _, err := vm.CompileLevel("Fz", src, l.SigEnv(), compileLevel)
+	obj, _, err := vm.CompileLevel("Fz", src, l.SigEnv(), 0)
 	if err != nil {
 		return "compile error: " + err.Error()
 	}
 	var sb strings.Builder
-	var lm *vm.LinkedModule
 	steps0, alloc0 := m.Steps, m.AllocBytes
-	switch path {
-	case 0:
-		l.OptLevel = 0
-		lm, err = l.Load(obj.Encode())
-	case 1:
-		l.OptLevel = 1
-		lm, err = l.Load(obj.Encode())
-	case 2:
-		l.OptLevel = 1
-		lm, err = l.LoadObject(obj)
-	}
+	l.OptLevel = optLevel
+	lm, err := l.Load(obj.Encode())
 	fmt.Fprintf(&sb, "load: steps=%d alloc=%d", m.Steps-steps0, m.AllocBytes-alloc0)
 	if err != nil {
 		fmt.Fprintf(&sb, " err=%v\n", err)
@@ -143,8 +127,7 @@ func runLevel(t *testing.T, src string, path int) string {
 // FuzzOptimizedMatchesBaseline is the optimizer's differential oracle. It
 // is seeded with the bundled switchlet corpus — the exact programs the
 // bridge ships — plus targeted programs covering every superinstruction,
-// and requires all three execution paths (-O0, -O1 hostile, -O1 trusted)
-// to produce identical transcripts.
+// and requires -O0 and -O1 to produce identical transcripts.
 func FuzzOptimizedMatchesBaseline(f *testing.F) {
 	for _, seed := range []string{
 		switchlets.DumbSrc,
@@ -175,10 +158,8 @@ let f () = (y, x)`,
 			t.Skip("oversized input")
 		}
 		base := runLevel(t, src, 0)
-		for _, path := range []int{1, 2} {
-			if got := runLevel(t, src, path); got != base {
-				t.Errorf("path %d diverges from -O0\n--- -O0:\n%s\n--- path %d:\n%s", path, base, path, got)
-			}
+		if got := runLevel(t, src, 1); got != base {
+			t.Errorf("-O1 diverges from -O0\n--- -O0:\n%s\n--- -O1:\n%s", base, got)
 		}
 	})
 }

@@ -16,34 +16,19 @@ type outcome struct {
 	alloc uint64
 }
 
-// runPath compiles src, loads it along one of the three real paths, and
-// invokes fn with args under maxSteps fuel.
-//
-//	level 0: naive bytecode, loader quickening off      (-O0)
-//	level 1: wire bytes through a default loader        (hostile -O1)
-//	level 2: compiler's own object, trusted quickening  (trusted -O1)
+// runPath compiles src, loads its wire bytes at the given loader opt level
+// (0 = naive bytecode, 1 = quickened), and invokes fn with args under
+// maxSteps fuel.
 func runPath(t *testing.T, level int, src, fn string, maxSteps uint64, args ...Value) outcome {
 	t.Helper()
 	m := NewMachine()
 	l := StdLoader(m)
-	compileLevel := 0
-	if level == 2 {
-		compileLevel = 1
-	}
-	obj, _, err := CompileLevel("P", src, l.SigEnv(), compileLevel)
+	obj, _, err := CompileLevel("P", src, l.SigEnv(), 0)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	var lm *LinkedModule
-	switch level {
-	case 0:
-		l.OptLevel = 0
-		lm, err = l.Load(obj.Encode())
-	case 1:
-		lm, err = l.Load(obj.Encode())
-	case 2:
-		lm, err = l.LoadObject(obj)
-	}
+	l.OptLevel = level
+	lm, err := l.Load(obj.Encode())
 	if err != nil {
 		t.Fatalf("load (level %d): %v", level, err)
 	}
@@ -62,22 +47,19 @@ func runPath(t *testing.T, level int, src, fn string, maxSteps uint64, args ...V
 	return o
 }
 
-// assertParity runs fn on all three paths and requires bit-identical
-// outcomes: same value or same trap, same Steps, same AllocBytes — the
-// virtual-time contract of the optimizer.
+// assertParity runs fn at -O0 and -O1 and requires bit-identical outcomes:
+// same value or same trap, same Steps, same AllocBytes — the virtual-time
+// contract of the optimizer.
 func assertParity(t *testing.T, src, fn string, maxSteps uint64, args ...Value) outcome {
 	t.Helper()
 	naive := runPath(t, 0, src, fn, maxSteps, args...)
-	for level, tag := range map[int]string{1: "hostile -O1", 2: "trusted -O1"} {
-		got := runPath(t, level, src, fn, maxSteps, args...)
-		if !reflect.DeepEqual(naive, got) {
-			t.Errorf("%s(%v) diverges at %s:\n  -O0: %+v\n  got: %+v", fn, args, tag, naive, got)
-		}
+	if got := runPath(t, 1, src, fn, maxSteps, args...); !reflect.DeepEqual(naive, got) {
+		t.Errorf("%s(%v) diverges at -O1:\n  -O0: %+v\n  -O1: %+v", fn, args, naive, got)
 	}
 	return naive
 }
 
-// quickOps disassembles the trusted-compiled form of src and returns the
+// quickOps compiles src at -O1 and returns the
 // set of quickened opcode names it uses, so each test can prove the fast
 // path it exercises was actually emitted.
 func quickOps(t *testing.T, src string) map[string]bool {
@@ -174,8 +156,8 @@ func TestQGGCmpJf(t *testing.T) {
 }
 
 func TestQIncLocalAndLoops(t *testing.T) {
-	// A for loop over a ref: hostile mode gets q.inc_local for the
-	// counter, trusted mode the untagged q.i_inc/q.ii_le_jf pair.
+	// A for loop over a ref: the loop head fuses into q.gg_cmp_jf and the
+	// counter step into q.inc_local.
 	src := `
 let f n =
   let acc = Safestd.ref 0 in
@@ -184,7 +166,7 @@ let f n =
   done;
   !acc
 `
-	requireOps(t, src, "q.iset", "q.i_inc", "q.ii_le_jf")
+	requireOps(t, src, "q.gg_cmp_jf", "q.inc_local")
 	o := assertParity(t, src, "f", bigFuel, int64(100))
 	if o.val != "5050" {
 		t.Errorf("f 100 = %s", o.val)
@@ -193,8 +175,10 @@ let f n =
 	assertParity(t, src, "f", bigFuel, int64(-1)) // empty loop
 }
 
-func TestUntaggedLoopOverflowWraps(t *testing.T) {
-	// The untagged increment must wrap exactly like boxed int64 addition.
+func TestLoopOverflowWraps(t *testing.T) {
+	// Arithmetic in a loop body and the q.inc_local counter step must wrap
+	// exactly like unfused int64 addition. A counter that wraps past
+	// max_int never exceeds its bound, so g runs until the fuel trap.
 	src := `
 let f start =
   let acc = Safestd.ref start in
@@ -202,10 +186,19 @@ let f start =
     acc := !acc + 9223372036854775807
   done;
   !acc
+let g () =
+  let n = Safestd.ref 0 in
+  for i = 9223372036854775806 to 9223372036854775807 do
+    n := !n + 1
+  done;
+  !n
 `
-	o := assertParity(t, src, "f", bigFuel, int64(5))
-	if !strings.Contains(o.val, "2") && o.err == "" {
-		t.Logf("wrapped to %s", o.val)
+	requireOps(t, src, "q.inc_local")
+	if o := assertParity(t, src, "f", bigFuel, int64(5)); o.val != "-9223372036854775806" {
+		t.Errorf("f 5 = %s (%s), want the wrapped sum", o.val, o.err)
+	}
+	if o := assertParity(t, src, "g", 5000, Unit{}); !strings.Contains(o.err, ErrFuel.Error()) {
+		t.Errorf("g () = %s (%s), want a fuel trap", o.val, o.err)
 	}
 }
 
@@ -281,30 +274,19 @@ let put k v = Hashtbl.add t k v; ()
 let get k = (Hashtbl.find t k, Hashtbl.mem t k)
 `
 	requireOps(t, src, "q.htbl_add", "q.htbl_find", "q.htbl_mem")
-	// Parity has to hold across a stateful sequence, so drive each path's
+	// Parity has to hold across a stateful sequence, so drive each level's
 	// own module through the same script rather than one call at a time.
 	script := func(lvl int) []outcome {
 		var res []outcome
 		m := NewMachine()
 		m.MaxSteps = bigFuel
 		l := StdLoader(m)
-		compileLevel := 0
-		if lvl == 2 {
-			compileLevel = 1
-		}
-		obj, _, err := CompileLevel("P", src, l.SigEnv(), compileLevel)
+		obj, _, err := CompileLevel("P", src, l.SigEnv(), 0)
 		if err != nil {
 			t.Fatalf("compile: %v", err)
 		}
-		var lm *LinkedModule
-		if lvl == 0 {
-			l.OptLevel = 0
-		}
-		if lvl == 2 {
-			lm, err = l.LoadObject(obj)
-		} else {
-			lm, err = l.Load(obj.Encode())
-		}
+		l.OptLevel = lvl
+		lm, err := l.Load(obj.Encode())
 		if err != nil {
 			t.Fatalf("load: %v", err)
 		}
@@ -318,22 +300,19 @@ let get k = (Hashtbl.find t k, Hashtbl.mem t k)
 			}
 			res = append(res, o)
 		}
-		call("get", "missing") // Not_found trap, cold cache
+		call("get", "missing") // Not_found trap
 		call("put", "a", int64(1))
-		call("get", "a")           // hit, cold cache
-		call("get", "a")           // hit, warm cache
-		call("put", "a", int64(2)) // version bump invalidates the IC
+		call("get", "a")
+		call("get", "a")
+		call("put", "a", int64(2)) // replaces the binding
 		call("get", "a")           // must observe the new value
 		call("get", int64(7))      // int key, miss
 		call("put", int64(7), int64(8))
 		call("get", int64(7))
 		return res
 	}
-	want := script(0)
-	for _, lvl := range []int{1, 2} {
-		if got := script(lvl); !reflect.DeepEqual(want, got) {
-			t.Errorf("hashtable script diverges at level %d:\n  -O0: %+v\n  got: %+v", lvl, want, got)
-		}
+	if want, got := script(0), script(1); !reflect.DeepEqual(want, got) {
+		t.Errorf("hashtable script diverges at -O1:\n  -O0: %+v\n  -O1: %+v", want, got)
 	}
 }
 
@@ -381,8 +360,7 @@ func TestSpecializedCallMispredictDeopts(t *testing.T) {
 
 // TestInlinedNativeParity pins the contract claimed in builtins.go: the
 // interpreter-inlined fast paths of the tagged natives replicate the Go
-// implementations' results AND their AllocBytes metering exactly, both on
-// inline-cache hits and misses.
+// implementations' results AND their AllocBytes metering exactly.
 func TestInlinedNativeParity(t *testing.T) {
 	src := `
 let t = Hashtbl.create 4

@@ -69,9 +69,6 @@ type Native struct {
 type Hashtbl struct {
 	M    map[Value]Value
 	Keys []Value
-	// Version counts mutations; inline caches over find/mem key on
-	// (table identity, version) and so self-invalidate on any write.
-	Version uint64
 }
 
 // NewHashtbl creates an empty table.
@@ -84,7 +81,6 @@ func (h *Hashtbl) Set(k, v Value) {
 		h.Keys = append(h.Keys, k)
 	}
 	h.M[k] = v
-	h.Version++
 }
 
 // Delete removes a binding if present.
@@ -93,7 +89,6 @@ func (h *Hashtbl) Delete(k Value) {
 		return
 	}
 	delete(h.M, k)
-	h.Version++
 	for i, kk := range h.Keys {
 		if kk == k {
 			h.Keys = append(h.Keys[:i], h.Keys[i+1:]...)
@@ -106,7 +101,6 @@ func (h *Hashtbl) Delete(k Value) {
 func (h *Hashtbl) Clear() {
 	h.M = make(map[Value]Value)
 	h.Keys = nil
-	h.Version++
 }
 
 // Small-integer cache. Converting an int64 to the Value interface heap-

@@ -9,6 +9,7 @@ package vm_test
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -29,7 +30,6 @@ var structuralTraps = []string{
 	"capture index out of range",
 	"refers past frame locals",
 	"refers past closure environment",
-	"untagged register invalid",
 	"specialized call mispredicted",
 }
 
@@ -87,19 +87,22 @@ func runWire(t *testing.T, enc []byte, optLevel int) string {
 	return sb.String()
 }
 
+// bundled names every switchlet the bridge ships, by module name.
+var bundled = map[string]string{
+	"Dumb":     switchlets.DumbSrc,
+	"Learning": switchlets.LearningSrc,
+	"Spanning": switchlets.SpanningSrc,
+	"DEC":      switchlets.DECSrc,
+	"Control":  switchlets.ControlSrc,
+	"SpanBug":  switchlets.BuggySpanningSrc,
+}
+
 // encodedSeeds compiles every bundled switchlet at -O0 and returns the wire
 // bytes the bridge would transmit.
 func encodedSeeds(tb testing.TB) [][]byte {
 	node := bridge.New(netsim.New(), "seed", 1, 2, netsim.DefaultCostModel())
 	var out [][]byte
-	for name, src := range map[string]string{
-		"Dumb":     switchlets.DumbSrc,
-		"Learning": switchlets.LearningSrc,
-		"Spanning": switchlets.SpanningSrc,
-		"DEC":      switchlets.DECSrc,
-		"Control":  switchlets.ControlSrc,
-		"SpanBug":  switchlets.BuggySpanningSrc,
-	} {
+	for name, src := range bundled {
 		obj, _, err := vm.CompileLevel(name, src, node.Loader.SigEnv(), 0)
 		if err != nil {
 			tb.Fatalf("compile %s: %v", name, err)
@@ -111,8 +114,8 @@ func encodedSeeds(tb testing.TB) [][]byte {
 
 // FuzzVerifierSoundness mutates encoded switchlet objects and holds the
 // verifier to its contract: every rejection is a typed *vm.VerifyError,
-// and every acceptance executes at -O0 and hostile -O1 with identical
-// transcripts and no structural trap.
+// and every acceptance executes at -O0 and -O1 with identical transcripts
+// and no structural trap.
 func FuzzVerifierSoundness(f *testing.F) {
 	for _, enc := range encodedSeeds(f) {
 		f.Add(enc)
@@ -140,7 +143,7 @@ func FuzzVerifierSoundness(f *testing.F) {
 			return
 		}
 		// Verifier accepted: the object must run clean both naive and
-		// hostile-quickened, and identically.
+		// quickened, and identically.
 		base := runWire(t, enc, 0)
 		quick := runWire(t, enc, 1)
 		if base != quick {
@@ -165,18 +168,11 @@ func hasQuick(o *vm.Object) bool {
 }
 
 // TestBundledSwitchletsVerifyClean is the shipping gate: every bundled
-// switchlet must pass the full static check in all three forms the loader
-// sees — fresh wire decode, hostile-quickened, and trusted-quickened.
+// switchlet must pass the full static check in both forms the loader sees —
+// fresh wire decode and quickened.
 func TestBundledSwitchletsVerifyClean(t *testing.T) {
 	node := bridge.New(netsim.New(), "clean", 1, 2, netsim.DefaultCostModel())
-	for name, src := range map[string]string{
-		"Dumb":     switchlets.DumbSrc,
-		"Learning": switchlets.LearningSrc,
-		"Spanning": switchlets.SpanningSrc,
-		"DEC":      switchlets.DECSrc,
-		"Control":  switchlets.ControlSrc,
-		"SpanBug":  switchlets.BuggySpanningSrc,
-	} {
+	for name, src := range bundled {
 		t.Run(name, func(t *testing.T) {
 			obj, _, err := vm.CompileLevel(name, src, node.Loader.SigEnv(), 0)
 			if err != nil {
@@ -192,32 +188,54 @@ func TestBundledSwitchletsVerifyClean(t *testing.T) {
 				t.Fatalf("wire form rejected: %v", err)
 			}
 
-			hostile, _ := vm.DecodeObject(enc)
-			vm.OptimizeObject(hostile, false)
-			info, err := vm.VerifyObject(hostile)
+			quick, _ := vm.DecodeObject(enc)
+			vm.OptimizeObject(quick)
+			info, err := vm.VerifyObject(quick)
 			if err != nil {
-				t.Fatalf("hostile-quickened form rejected: %v", err)
+				t.Fatalf("quickened form rejected: %v", err)
 			}
-			if hasQuick(hostile) && !info.QuickChecked {
+			if hasQuick(quick) && !info.QuickChecked {
 				t.Error("quick stream present but not checked")
 			}
+		})
+	}
+}
 
-			// Trusted form: verify first (trust is earned), quicken with the
-			// trusted rule set, then graft the quickened chunks onto a fresh
-			// decode so the verification cache starts cold.
-			if _, err := vm.VerifyObject(obj); err != nil {
-				t.Fatalf("compiled form rejected: %v", err)
-			}
-			vm.OptimizeObject(obj, true)
-			graft, _ := vm.DecodeObject(enc)
-			graft.Chunks = obj.Chunks
-			graft.NICSites = obj.NICSites
-			tinfo, err := vm.VerifyObject(graft)
+// TestCompiledQuickMatchesDecodedQuick holds -O1 to a single rule set: the
+// quickened form the compiler hands the Manager (linked directly from the
+// object cache) must equal what the loader derives from the same object's
+// wire bytes. With that equality, the -O0/-O1 differential over wire bytes
+// also covers the in-process compiled path.
+func TestCompiledQuickMatchesDecodedQuick(t *testing.T) {
+	node := bridge.New(netsim.New(), "same", 1, 2, netsim.DefaultCostModel())
+	for name, src := range bundled {
+		t.Run(name, func(t *testing.T) {
+			compiled, _, err := vm.CompileLevel(name, src, node.Loader.SigEnv(), 1)
 			if err != nil {
-				t.Fatalf("trusted-quickened form rejected: %v", err)
+				t.Fatal(err)
 			}
-			if hasQuick(obj) && !tinfo.QuickChecked {
-				t.Error("trusted quick stream present but not checked")
+			decoded, err := vm.DecodeObject(compiled.Encode())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := vm.VerifyObject(decoded); err != nil {
+				t.Fatal(err)
+			}
+			vm.OptimizeObject(decoded)
+			if !hasQuick(compiled) {
+				t.Fatal("compiled object was not quickened")
+			}
+			if compiled.NICSites != decoded.NICSites {
+				t.Errorf("NICSites: compiled %d, decoded %d", compiled.NICSites, decoded.NICSites)
+			}
+			for ci, c := range compiled.Chunks {
+				d := decoded.Chunks[ci]
+				if !reflect.DeepEqual(c.Quick, d.Quick) {
+					t.Errorf("chunk %d (%s): Quick differs\n  compiled: %v\n  decoded:  %v", ci, c.Name, c.Quick, d.Quick)
+				}
+				if !reflect.DeepEqual(vm.QuickSrc(c), vm.QuickSrc(d)) {
+					t.Errorf("chunk %d (%s): quickSrc differs\n  compiled: %v\n  decoded:  %v", ci, c.Name, vm.QuickSrc(c), vm.QuickSrc(d))
+				}
 			}
 		})
 	}

@@ -19,10 +19,10 @@ import (
 // Chunks carry two code streams: the verified wire Code and an optional
 // quickened Quick form produced by OptimizeObject. A frame normally runs
 // the quickened stream; any situation the fast paths cannot handle
-// (mispredicted inline-cache callee, invalidated untagged register, fuel
-// starvation inside a superinstruction) deoptimizes the frame to the wire
-// code at the exact equivalent position, so results, traps, Steps and
-// AllocBytes are identical at every optimization level.
+// (mispredicted native callee, fuel starvation inside a superinstruction)
+// deoptimizes the frame to the wire code at the exact equivalent position,
+// so results, traps, Steps and AllocBytes are identical at every
+// optimization level.
 type Machine struct {
 	// Steps counts executed instructions, cumulatively. A fused
 	// superinstruction counts as many steps as the wire instructions it
@@ -260,13 +260,6 @@ type frameSlot struct {
 	// naive forces the frame onto the wire Code even when the chunk has a
 	// quickened form; set by deoptimization, cleared on frame (re)entry.
 	naive bool
-	// iregs are the untagged int registers backing inference-proven loop
-	// counters (qISet/qIIncL/qIILeJf). itag is an invalidation bitmask:
-	// bit r set means register r does not hold the current value of its
-	// slot and the fused ops reading it must deoptimize. All registers
-	// start invalid; qISet validates them.
-	itag  uint8
-	iregs [maxIntRegs]int64
 }
 
 // pushFrame activates c whose len(args)=c.Chunk.NParams arguments are the
@@ -289,7 +282,6 @@ func (m *Machine) pushFrame(c *Closure, nArgs, retBase int) *frameSlot {
 	f.ip = 0
 	f.handlers = f.handlers[:0]
 	f.naive = false
-	f.itag = 0xff
 	return f
 }
 
@@ -319,24 +311,15 @@ func (m *Machine) unwind(frameFloor int) bool {
 	return false
 }
 
-// icache is one monomorphic inline-cache site, allocated per linked module
-// (sites are assigned by the optimizer, counted in Object.NICSites). The
-// string fields form a two-way cache of String.sub results so repeated
-// extraction of the same header bytes — the destination-locality pattern of
-// real frame streams — reuses one boxed value instead of re-boxing per
-// frame. The table fields cache one (table identity, version, key) lookup
-// for Hashtbl.find/mem; any table write bumps Hashtbl.Version, so stale
-// hits are impossible, and the Manager additionally flushes all caches on
-// Install/Upgrade/Rollback.
+// icache is one String.sub inline-cache site, allocated per linked module
+// (sites are assigned by the optimizer, counted in Object.NICSites). It is
+// a two-way cache of boxed results so repeated extraction of the same
+// header bytes — the destination-locality pattern of real frame streams —
+// reuses one boxed value instead of re-boxing per frame. Entries are keyed
+// by string content, so no module or table change can make one stale.
 type icache struct {
 	s1, s2 string
 	b1, b2 Value
-
-	tbl *Hashtbl
-	ver uint64
-	key Value
-	val Value
-	has bool
 }
 
 // icAt returns the inline-cache slot idx of mod, or nil when the module
@@ -493,7 +476,6 @@ frames:
 						f.opBase = f.base + c.Chunk.NLocals
 						f.ip = 0
 						f.naive = false
-						f.itag = 0xff
 						continue frames
 					}
 					if m.frameTop-frameFloor >= m.MaxFrames {
@@ -810,55 +792,6 @@ frames:
 					break
 				}
 				m.vals[f.base+int(bb>>8)] = t[idx]
-			case qISet:
-				v := m.pop(f.opBase)
-				m.vals[f.base+int(ins.A)] = v
-				if iv, ok := v.(int64); ok {
-					f.iregs[ins.B] = iv
-					f.itag &^= 1 << uint(ins.B)
-				} else {
-					f.itag |= 1 << uint(ins.B)
-				}
-			case qIIncL:
-				reg := uint(ins.A >> 16)
-				if f.itag&(1<<reg) != 0 {
-					if chunk.quickSrc == nil {
-						trapErr = &Trap{Msg: "untagged register invalid with no deopt map"}
-						break
-					}
-					fuel += w
-					steps -= w
-					f.ip = int(chunk.quickSrc[f.ip-1])
-					f.naive = true
-					if m.Trace != nil {
-						m.Trace.TraceDeopt("untagged-reg")
-					}
-					continue frames
-				}
-				nv := f.iregs[reg] + int64(ins.B)
-				f.iregs[reg] = nv
-				m.vals[f.base+int(ins.A&0xffff)] = m.boxI(nv)
-			case qIILeJf:
-				bb := uint32(ins.B)
-				ri := uint((bb >> 12) & 0x3f)
-				rh := uint((bb >> 18) & 0x3f)
-				if f.itag&(1<<ri|1<<rh) != 0 {
-					if chunk.quickSrc == nil {
-						trapErr = &Trap{Msg: "untagged register invalid with no deopt map"}
-						break
-					}
-					fuel += w
-					steps -= w
-					f.ip = int(chunk.quickSrc[f.ip-1])
-					f.naive = true
-					if m.Trace != nil {
-						m.Trace.TraceDeopt("untagged-reg")
-					}
-					continue frames
-				}
-				if f.iregs[ri] > f.iregs[rh] {
-					f.ip += int(ins.A)
-				}
 			case qStrSub, qStrGet, qHtblFind, qHtblMem, qHtblAdd:
 				n := int(ins.A & 0xff)
 				if len(m.vals)-f.opBase < n+1 {
@@ -948,18 +881,7 @@ frames:
 						callErr = kerr.(*Trap)
 						break
 					}
-					var v Value
-					var has bool
-					if ic := icAt(mod, int(ins.A>>8)); ic != nil {
-						if ic.tbl == t && ic.ver == t.Version && ic.key == k {
-							v, has = ic.val, ic.has
-						} else {
-							v, has = t.M[k]
-							ic.tbl, ic.ver, ic.key, ic.val, ic.has = t, t.Version, k, v, has
-						}
-					} else {
-						v, has = t.M[k]
-					}
+					v, has := t.M[k]
 					if ins.Op == qHtblFind {
 						if has {
 							res = v
@@ -1057,31 +979,9 @@ type LinkedModule struct {
 	Globals []Value
 	Imports []Value
 
-	// ics holds the module's inline-cache sites (Object.NICSites of them),
-	// written by the quickened opcodes and flushed by the Manager around
-	// Install/Upgrade/Rollback.
+	// ics holds the module's String.sub inline-cache sites
+	// (Object.NICSites of them), written by the quickened opcode.
 	ics []icache
-}
-
-// FlushICs clears every inline-cache site of the module.
-func (lm *LinkedModule) FlushICs() {
-	for i := range lm.ics {
-		lm.ics[i] = icache{}
-	}
-}
-
-// LiveICs reports how many of the module's inline-cache sites currently
-// hold a cached entry — introspection for tests and telemetry; the count
-// has no semantic weight.
-func (lm *LinkedModule) LiveICs() int {
-	n := 0
-	for i := range lm.ics {
-		ic := &lm.ics[i]
-		if ic.b1 != nil || ic.b2 != nil || ic.tbl != nil {
-			n++
-		}
-	}
-	return n
 }
 
 // Global returns the value of an exported binding.
